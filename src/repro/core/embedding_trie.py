@@ -147,24 +147,6 @@ class EmbeddingTrie:
         self.num_nodes -= removed
         return removed
 
-    # ------------------------------------------------------------------
-    def leaves_at_depth(self, depth: int) -> list[TrieNode]:
-        """All nodes at ``depth`` (a full scan; used by tests, not hot paths)."""
-        result: list[TrieNode] = []
-
-        def walk(node: TrieNode, d: int, children: dict) -> None:
-            if d == depth:
-                result.append(node)
-
-        # Without child pointers a scan requires an auxiliary index, so
-        # tests use the frontier lists maintained by R-Meef instead;
-        # this helper only works for depth 0.
-        if depth == 0:
-            return list(self._roots.values())
-        raise NotImplementedError(
-            "trie nodes store no child pointers; track frontiers externally"
-        )
-
 
 def trie_from_paths(
     paths: Iterable[tuple[int, ...]],

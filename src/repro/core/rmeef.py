@@ -17,6 +17,19 @@ decomposition unit ``dp_i``:
 
 No intermediate results ever leave the executor machine.
 
+The expansion kernel runs on plain Python lists and sets: adjacency lists
+here hold tens of ids, where a numpy call costs more than the work it
+does.  Ownership is one index into the partition's owned-vertex mask;
+a known vertex's adjacency is converted once per worker into a sorted list
+plus a membership set (read only after the ownership/cache test, so an
+evicted foreign vertex is unknown again); intersections filter the shorter
+list by the other's set and symmetry bounds are ``bisect`` cuts.  The
+invariant is that candidate order and every op charge equal the
+sorted-array formulas (``min(len(a), len(b))`` per intersection, the
+candidate count per scan, one per locally decided deferred edge), so
+``rmeef_ops``, trie bytes, fetch/verifyE RPCs and cache evictions, and with
+them the simulated makespan, communication and peak memory, are unchanged.
+
 Region groups are independent units of work: under the serial backend the
 RADS scheduler interleaves workers by virtual clock, while under the
 process backend (:mod:`repro.runtime`) each worker is constructed inside
@@ -27,10 +40,9 @@ and therefore the embedding count — is identical.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import Machine, SimulatedMemoryError
@@ -85,6 +97,10 @@ class RMeefWorker:
             len(plan.subpattern_vertices(i)) for i in range(plan.num_rounds)
         ]
         self._info = self._build_position_info(constraints)
+        self._graph = cluster.graph
+        self._owned = self._local.owned_mask
+        self._degree = self._graph.degrees().tolist()
+        self._memo: dict[int, tuple[list[int], set[int]]] = {}
         # Mutable per-round state.
         self._ops = 0
         self._trie_bytes_outstanding = 0
@@ -138,18 +154,29 @@ class RMeefWorker:
     # ------------------------------------------------------------------
     # Adjacency access (owned / cached / fetch)
     # ------------------------------------------------------------------
-    def _known_adjacency(self, v: int) -> np.ndarray | None:
-        """Adjacency if locally decidable (owned or cached), else None."""
-        if self._local.is_owned(v):
-            return self._local.graph.neighbors(v)
-        return self._cache.peek(v)
+    def _is_known(self, v: int) -> bool:
+        """True iff ``v``'s adjacency is locally decidable (owned or cached)."""
+        return self._owned[v] or v in self._cache
+
+    def _adjacency(self, v: int) -> tuple[list[int], set[int]] | None:
+        """``(sorted neighbours, neighbour set)`` if known here, else None.
+
+        Conversions are memoised for the worker's lifetime, but the memo
+        is only consulted after the ownership/cache test, so a foreign
+        vertex the cache has evicted reads as unknown, as the paper's
+        executor would see it.
+        """
+        if not self._is_known(v):
+            return None
+        entry = self._memo.get(v)
+        if entry is None:
+            neighbours = self._graph.neighbors(v).tolist()
+            entry = self._memo[v] = (neighbours, set(neighbours))
+        return entry
 
     def _fetch_vertices(self, vertices: list[int]) -> None:
         """Batched `fetchV`: one request per remote owner machine."""
-        need = [
-            v for v in vertices
-            if not self._local.is_owned(v) and v not in self._cache
-        ]
+        need = [v for v in vertices if not self._is_known(v)]
         if not need:
             return
         by_owner: dict[int, list[int]] = defaultdict(list)
@@ -265,16 +292,15 @@ class RMeefWorker:
         final = num_rounds == 1
         frontier: list[TrieNode] = []
         evi = EdgeVerificationIndex()
+        min_degree = self._info[0].min_degree
         for v in sorted(group):
-            adjacency = self._known_adjacency(v)
-            if adjacency is None:
+            if not self._is_known(v):
                 # The batch fetch above may have been evicted already on a
                 # memory-starved cache (or the group was stolen): re-fetch
                 # rather than silently dropping the candidate.
                 self._fetch_vertices([v])
-                adjacency = self._known_adjacency(v)
             self._ops += 1
-            if adjacency is None or len(adjacency) < self._info[0].min_degree:
+            if not self._is_known(v) or self._degree[v] < min_degree:
                 continue
             root = trie.add_root(v)
             self._alloc_trie(NODE_BYTES)
@@ -297,16 +323,23 @@ class RMeefWorker:
             final = i == num_rounds - 1
             evi = EdgeVerificationIndex()
             pivot_position = self._position[self._plan.units[i].pivot]
-            self._fetch_vertices(
-                sorted({leaf.path()[pivot_position] for leaf in frontier})
-            )
+            start = self._prefix_len[i - 1]
+            # Frontier leaves sit at depth start - 1; read each pivot image
+            # and each partial embedding straight off the parent chain.
+            pivots = set()
+            for leaf in frontier:
+                node = leaf
+                for _ in range(start - 1 - pivot_position):
+                    node = node.parent
+                pivots.add(node.v)
+            self._fetch_vertices(sorted(pivots))
             next_frontier: list[TrieNode] = []
             for leaf in frontier:
-                path = leaf.path()
-                for q, v in enumerate(path):
-                    mapping[q] = v
-                used = set(path)
-                start = self._prefix_len[i - 1]
+                node, q = leaf, start - 1
+                while node is not None:
+                    mapping[q] = node.v
+                    node, q = node.parent, q - 1
+                used = set(mapping[:start])
                 self._expand_unit(
                     trie, evi, i, leaf, start, mapping, used, next_frontier
                 )
@@ -352,60 +385,64 @@ class RMeefWorker:
         info = self._info[position]
         end = self._prefix_len[unit_index]
         pivot_value = mapping[info.pivot_position]
-        pivot_adj = self._known_adjacency(pivot_value)
-        if pivot_adj is None:
+        pivot = self._adjacency(pivot_value)
+        if pivot is None:
             # Batched at round start, but a tiny cache may have evicted the
             # entry before use — re-fetch on demand (extra RPC, as a real
             # cache-starved machine would pay).
             self._fetch_vertices([pivot_value])
-            pivot_adj = self._known_adjacency(pivot_value)
-        if pivot_adj is None:  # pragma: no cover - fetch always caches one
+            pivot = self._adjacency(pivot_value)
+        if pivot is None:  # pragma: no cover - fetch always caches one
             raise AssertionError("pivot adjacency must be known")
-        candidates = pivot_adj
+        candidates, candidate_set = pivot
+        # Images of earlier neighbours whose adjacency is unknown here:
+        # each candidate's edge to them is checked (or deferred) below.
         deferred: list[int] = []
         for p in info.refine_positions:
-            other_adj = self._known_adjacency(mapping[p])
-            if other_adj is None:
-                deferred.append(p)
+            w = mapping[p]
+            other = self._adjacency(w)
+            if other is None:
+                deferred.append(w)
+                continue
+            other_list, other_set = other
+            self._ops += min(len(candidates), len(other_list))
+            # Filter whichever side is shorter against the other's set;
+            # both lists are ascending, so the result is too.
+            if candidate_set is not None and len(other_list) < len(candidates):
+                candidates = [x for x in other_list if x in candidate_set]
             else:
-                self._ops += min(len(candidates), len(other_adj))
-                candidates = np.intersect1d(
-                    candidates, other_adj, assume_unique=True
-                )
-                if len(candidates) == 0:
-                    return
-        lo = -1
-        hi: int | None = None
-        for p in info.lower_positions:
-            lo = max(lo, mapping[p])
-        for p in info.upper_positions:
-            hi = mapping[p] if hi is None else min(hi, mapping[p])
-        if lo >= 0:
-            candidates = candidates[np.searchsorted(candidates, lo + 1):]
-        if hi is not None:
-            candidates = candidates[: np.searchsorted(candidates, hi)]
+                candidates = [x for x in candidates if x in other_set]
+            candidate_set = None
+            if not candidates:
+                return
+        if info.lower_positions:
+            lo = max([mapping[p] for p in info.lower_positions])
+            candidates = candidates[bisect_right(candidates, lo):]
+        if info.upper_positions:
+            hi = min([mapping[p] for p in info.upper_positions])
+            candidates = candidates[:bisect_left(candidates, hi)]
         self._ops += len(candidates)
+        owned, cache, degree = self._owned, self._cache, self._degree
+        min_degree = info.min_degree
         for v in candidates:
-            v = int(v)
             if v in used:
                 continue
-            v_adj = self._known_adjacency(v)
-            if v_adj is not None and len(v_adj) < info.min_degree:
+            known = owned[v] or v in cache
+            if known and degree[v] < min_degree:
                 continue
             new_pending = pending
-            ok = True
-            for p in deferred:
-                w = mapping[p]
-                if v_adj is not None:
-                    idx = int(np.searchsorted(v_adj, w))
+            if deferred and not known:
+                new_pending = pending + tuple([(v, w) for w in deferred])
+            elif deferred:
+                v_members = self._adjacency(v)[1]
+                ok = True
+                for w in deferred:
                     self._ops += 1
-                    if idx >= len(v_adj) or int(v_adj[idx]) != w:
+                    if w not in v_members:
                         ok = False
                         break
-                else:
-                    new_pending = new_pending + ((v, w),)
-            if not ok:
-                continue
+                if not ok:
+                    continue
             child = trie.add_child(node, v)
             self._alloc_trie(NODE_BYTES)
             mapping[position] = v

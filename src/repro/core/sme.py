@@ -85,7 +85,7 @@ class SingleMachineSplit:
             adjacency=local.graph.neighbors,
             constraints=self._constraints,
             order=self._plan.matching_order(),
-            allowed=local.is_owned,
+            allowed=local.owned_mask.__getitem__,
             stats=stats,
         )
         embeddings = list(enumerator.run(sme_candidates))

@@ -1,17 +1,31 @@
-"""Backtracking subgraph enumeration over sorted-array adjacency.
+"""Backtracking subgraph enumeration over sorted adjacency.
 
 The enumerator is deliberately generic: adjacency is any callable
 ``v -> sorted numpy array``, and an optional ``allowed`` predicate restricts
 the data vertices that may be matched (RADS' SM-E passes "owned by this
-machine").  Candidates are generated by intersecting the adjacency of
-already-matched pattern neighbours, with symmetry-breaking constraints
-applied as range slices on the sorted candidate arrays.
+machine" as an ownership-mask lookup).  Candidates are generated by
+intersecting the adjacency of already-matched pattern neighbours, with
+symmetry-breaking constraints applied as ``bisect`` cuts of the sorted
+candidate list.
+
+The kernel works on plain Python lists and sets.  The adjacency lists it
+intersects hold a few to a few dozen ids, and at that size one numpy call
+costs more than the whole intersection.  So each adjacency array is
+converted with ``tolist()`` where it is used (no memo: a whole-graph
+cache would cost more memory than it saves time), candidates are the
+shortest list filtered by set membership, and bounds are ``bisect`` cuts.
+The invariant is that candidate order and every operation charge equal
+the sorted-array formulas: candidates come out ascending, each
+intersection charges ``min(len(a), len(b))`` with the lists taken
+shortest first, and each scan charges the candidate count after the
+symmetry cuts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,6 +143,7 @@ class BacktrackingEnumerator:
             for v in greater[u]:  # f(v) < f(u)
                 if self._position[v] < pos_u:
                     self._lower_partners[pos_u].append(v)
+        self._min_degree = [self.pattern.degree(u) for u in self.order]
         # Backward pattern neighbours per position.
         self._backward: list[list[int]] = []
         for i, u in enumerate(self.order):
@@ -138,37 +153,84 @@ class BacktrackingEnumerator:
 
     # ------------------------------------------------------------------
     def candidates_for(
-        self, position: int, mapping: dict[int, int]
-    ) -> np.ndarray:
-        """Sorted candidate array for the pattern vertex at ``position``."""
-        u = self.order[position]
+        self, position: int, mapping: Sequence[int]
+    ) -> list[int]:
+        """Ascending candidate list for the pattern vertex at ``position``.
+
+        ``mapping[w]`` must hold the image of every pattern vertex ``w``
+        placed before ``position`` in the matching order.  The backward
+        neighbours' adjacency lists are intersected shortest first, each
+        step charging ``min(len(a), len(b))``; symmetry-breaking bounds
+        then cut the sorted result with ``bisect``.
+        """
         backward = self._backward[position]
         if not backward:
             raise ValueError(
                 "candidates_for requires at least one matched neighbour"
             )
-        arrays = sorted(
-            (self.adjacency(mapping[w]) for w in backward), key=len
-        )
-        cands = arrays[0]
+        arrays = sorted([self.adjacency(mapping[w]) for w in backward], key=len)
+        cands = arrays[0].tolist()
         for arr in arrays[1:]:
             self.stats.intersections += min(len(cands), len(arr))
-            cands = np.intersect1d(cands, arr, assume_unique=True)
-            if len(cands) == 0:
+            members = set(arr.tolist())
+            cands = [x for x in cands if x in members]
+            if not cands:
                 return cands
-        # Symmetry-breaking bounds as slices on the sorted array.
-        lo, hi = -1, None
         for w in self._lower_partners[position]:
-            if w in mapping:
-                lo = max(lo, mapping[w])
+            cands = cands[bisect_right(cands, mapping[w]):]
         for w in self._upper_partners[position]:
-            if w in mapping:
-                hi = mapping[w] if hi is None else min(hi, mapping[w])
-        if lo >= 0:
-            cands = cands[np.searchsorted(cands, lo + 1):]
-        if hi is not None:
-            cands = cands[: np.searchsorted(cands, hi)]
+            cands = cands[:bisect_left(cands, mapping[w])]
         return cands
+
+    def _searcher(
+        self,
+        mapping: list[int],
+        used: set[int],
+        limit: int | None,
+    ) -> tuple[Callable[[int], Iterator[tuple[int, ...]]], list[int]]:
+        """The recursive search over ``mapping``/``used``.
+
+        Returns ``(extend, emitted)``: ``extend(position)`` yields every
+        completion of the order prefix already in ``mapping``, and
+        ``emitted[0]`` counts the embeddings it has yielded, so a caller
+        looping over start vertices can honour ``limit`` too.
+        """
+        order = self.order
+        n = len(order)
+        stats = self.stats
+        adjacency = self.adjacency
+        allowed = self.allowed
+        candidates_for = self.candidates_for
+        min_degree = self._min_degree
+        emitted = [0]
+
+        def extend(position: int) -> Iterator[tuple[int, ...]]:
+            stats.recursive_calls += 1
+            u = order[position]
+            cands = candidates_for(position, mapping)
+            stats.candidates_scanned += len(cands)
+            degree = min_degree[position]
+            last = position + 1 == n
+            for v in cands:
+                if v in used:
+                    continue
+                if allowed is not None and not allowed(v):
+                    continue
+                if len(adjacency(v)) < degree:
+                    continue
+                mapping[u] = v
+                if last:
+                    stats.embeddings += 1
+                    emitted[0] += 1
+                    yield tuple(mapping)
+                else:
+                    used.add(v)
+                    yield from extend(position + 1)
+                    used.discard(v)
+                if limit is not None and emitted[0] >= limit:
+                    return
+
+        return extend, emitted
 
     def run(
         self,
@@ -178,63 +240,21 @@ class BacktrackingEnumerator:
         """Yield embeddings as tuples ``emb[u] = v`` (indexed by vertex id).
 
         ``start_candidates`` are tried for ``order[0]``; they are validated
-        against ``allowed`` and the degree filter.
+        against ``allowed`` and the degree filter.  (The first order
+        vertex has no earlier symmetry partner, so no bound applies.)
         """
-        pattern = self.pattern
-        order = self.order
-        n = pattern.num_vertices
-        mapping: dict[int, int] = {}
+        n = self.pattern.num_vertices
+        start_vertex = self.order[0]
+        start_degree = self._min_degree[0]
+        mapping = [-1] * n
         used: set[int] = set()
-        emitted = 0
-
-        start_vertex = order[0]
-        start_degree = pattern.degree(start_vertex)
-
-        def bounds_ok(position: int, v: int) -> bool:
-            for w in self._lower_partners[position]:
-                if w in mapping and mapping[w] >= v:
-                    return False
-            for w in self._upper_partners[position]:
-                if w in mapping and mapping[w] <= v:
-                    return False
-            return True
-
-        def extend(position: int) -> Iterator[tuple[int, ...]]:
-            nonlocal emitted
-            self.stats.recursive_calls += 1
-            u = order[position]
-            cands = self.candidates_for(position, mapping)
-            self.stats.candidates_scanned += len(cands)
-            for v in cands:
-                v = int(v)
-                if v in used:
-                    continue
-                if self.allowed is not None and not self.allowed(v):
-                    continue
-                if len(self.adjacency(v)) < pattern.degree(u):
-                    continue
-                mapping[u] = v
-                used.add(v)
-                if position + 1 == n:
-                    self.stats.embeddings += 1
-                    emitted += 1
-                    yield tuple(mapping[w] for w in range(n))
-                else:
-                    yield from extend(position + 1)
-                used.discard(v)
-                del mapping[u]
-                if limit is not None and emitted >= limit:
-                    return
-
+        extend, emitted = self._searcher(mapping, used, limit)
         for v0 in start_candidates:
             v0 = int(v0)
             if self.allowed is not None and not self.allowed(v0):
                 continue
-            adj0 = self.adjacency(v0)
             self.stats.candidates_scanned += 1
-            if len(adj0) < start_degree:
-                continue
-            if not bounds_ok(0, v0):
+            if len(self.adjacency(v0)) < start_degree:
                 continue
             mapping[start_vertex] = v0
             used.add(v0)
@@ -243,8 +263,7 @@ class BacktrackingEnumerator:
             else:
                 yield from extend(1)
             used.discard(v0)
-            del mapping[start_vertex]
-            if limit is not None and emitted >= limit:
+            if limit is not None and emitted[0] >= limit:
                 return
 
     def run_seeded(
@@ -289,46 +308,17 @@ class BacktrackingEnumerator:
                     return
             for w in pattern.adj(u):
                 if w in seed and self._position[w] < position:
-                    nbrs = self.adjacency(seed[w])
-                    i = int(np.searchsorted(nbrs, x))
-                    if i >= len(nbrs) or int(nbrs[i]) != x:
+                    if x not in self.adjacency(seed[w]).tolist():
                         return
 
-        mapping: dict[int, int] = dict(seed)
-        used: set[int] = set(seed.values())
-        emitted = 0
+        mapping = [-1] * n
+        for u, x in seed.items():
+            mapping[u] = x
         if k == n:
             self.stats.embeddings += 1
-            yield tuple(mapping[w] for w in range(n))
+            yield tuple(mapping)
             return
-
-        def extend(position: int) -> Iterator[tuple[int, ...]]:
-            nonlocal emitted
-            self.stats.recursive_calls += 1
-            u = order[position]
-            cands = self.candidates_for(position, mapping)
-            self.stats.candidates_scanned += len(cands)
-            for v in cands:
-                v = int(v)
-                if v in used:
-                    continue
-                if self.allowed is not None and not self.allowed(v):
-                    continue
-                if len(self.adjacency(v)) < pattern.degree(u):
-                    continue
-                mapping[u] = v
-                used.add(v)
-                if position + 1 == n:
-                    self.stats.embeddings += 1
-                    emitted += 1
-                    yield tuple(mapping[w] for w in range(n))
-                else:
-                    yield from extend(position + 1)
-                used.discard(v)
-                del mapping[u]
-                if limit is not None and emitted >= limit:
-                    return
-
+        extend, _ = self._searcher(mapping, set(seed.values()), limit)
         yield from extend(k)
 
 

@@ -24,7 +24,7 @@ class MachinePartition:
         self._owner = owner
         self._machine_id = machine_id
         self._owned = np.where(owner == machine_id)[0].astype(np.int64)
-        self._owned_set = frozenset(int(v) for v in self._owned)
+        self._owned_mask: list[bool] | None = None
         self._border: np.ndarray | None = None
         self._border_distance: dict[int, int] | None = None
 
@@ -43,6 +43,18 @@ class MachinePartition:
     def owned_vertices(self) -> np.ndarray:
         """Sorted array of vertices owned here."""
         return self._owned
+
+    @property
+    def owned_mask(self) -> list[bool]:
+        """``owned_mask[v]`` is True iff ``v`` is owned here (built once).
+
+        A plain list: the enumeration kernels test ownership per
+        candidate, and indexing a list costs a fraction of a numpy
+        scalar lookup.
+        """
+        if self._owned_mask is None:
+            self._owned_mask = (self._owner == self._machine_id).tolist()
+        return self._owned_mask
 
     def is_owned(self, v: int) -> bool:
         """True iff ``v`` resides on this machine."""
@@ -88,12 +100,13 @@ class MachinePartition:
     def border_vertices(self) -> np.ndarray:
         """Owned vertices with at least one foreign neighbour (cached)."""
         if self._border is None:
-            border = [
-                int(v)
-                for v in self._owned
-                if (self._owner[self._graph.neighbors(v)] != self._machine_id).any()
-            ]
-            self._border = np.asarray(border, dtype=np.int64)
+            # Running count of foreign entries over the CSR index array:
+            # a row has a foreign neighbour iff the count grows across it.
+            foreign = np.concatenate(([0], np.cumsum(
+                self._owner[self._graph.indices] != self._machine_id
+            )))
+            indptr, owned = self._graph.indptr, self._owned
+            self._border = owned[foreign[indptr[owned + 1]] > foreign[indptr[owned]]]
         return self._border
 
     def border_distance(self, v: int) -> int:
@@ -108,17 +121,15 @@ class MachinePartition:
         return self._border_distance.get(int(v), _FAR)
 
     def _compute_border_distances(self) -> dict[int, int]:
-        dist: dict[int, int] = {}
-        queue: deque[int] = deque()
-        for v in self.border_vertices:
-            dist[int(v)] = 0
-            queue.append(int(v))
+        owned = self.owned_mask
+        border = self.border_vertices.tolist()
+        dist: dict[int, int] = dict.fromkeys(border, 0)
+        queue: deque[int] = deque(border)
         while queue:
             v = queue.popleft()
             dv = dist[v] + 1
-            for w in self._graph.neighbors(v):
-                w = int(w)
-                if int(self._owner[w]) == self._machine_id and w not in dist:
+            for w in self._graph.neighbors(v).tolist():
+                if owned[w] and w not in dist:
                     dist[w] = dv
                     queue.append(w)
         return dist
