@@ -9,27 +9,24 @@ some previously cached data vertices").
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import KeysView
 
 import numpy as np
 
 
 class ForeignVertexCache:
-    """Byte-budgeted adjacency cache with FIFO or LRU eviction.
+    """Byte-budgeted adjacency cache with FIFO eviction.
 
-    The paper only says stale entries "may" be released; FIFO (the
-    default) matches its fetch-once-per-round access pattern, while LRU is
-    offered for workloads that revisit hot foreign hubs across rounds.
+    The paper only says stale entries "may" be released.  R-Meef only
+    asks whether a vertex is cached and inserts fetched lists, so there
+    are no reads for a recency order to follow: the oldest entry goes
+    first, which matches the fetch-once-per-round access pattern.
     """
 
-    def __init__(self, budget_bytes: int | None = None, policy: str = "fifo"):
-        if policy not in ("fifo", "lru"):
-            raise ValueError(f"unknown eviction policy: {policy!r}")
+    def __init__(self, budget_bytes: int | None = None):
         self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._budget = budget_bytes
-        self._policy = policy
         self.bytes_used = 0
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def __contains__(self, v: int) -> bool:
@@ -38,25 +35,15 @@ class ForeignVertexCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def vertices(self) -> KeysView[int]:
+        """Live read-only view of the cached ids (stays current as the
+        cache changes); ``v in view`` skips :meth:`__contains__`'s call."""
+        return self._entries.keys()
+
     @staticmethod
     def entry_bytes(adjacency: np.ndarray) -> int:
         """Simulated footprint of one cached adjacency list."""
         return (len(adjacency) + 1) * 8
-
-    def get(self, v: int) -> np.ndarray | None:
-        """Cached adjacency of ``v`` or None."""
-        entry = self._entries.get(v)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        if self._policy == "lru":
-            self._entries.move_to_end(v)
-        return entry
-
-    def peek(self, v: int) -> np.ndarray | None:
-        """Like :meth:`get` without touching hit/miss statistics."""
-        return self._entries.get(v)
 
     def put(self, v: int, adjacency: np.ndarray) -> int:
         """Insert an adjacency list; returns bytes evicted to make room."""

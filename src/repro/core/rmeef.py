@@ -23,12 +23,40 @@ does.  Ownership is one index into the partition's owned-vertex mask;
 a known vertex's adjacency is converted once per worker into a sorted list
 plus a membership set (read only after the ownership/cache test, so an
 evicted foreign vertex is unknown again); intersections filter the shorter
-list by the other's set and symmetry bounds are ``bisect`` cuts.  The
-invariant is that candidate order and every op charge equal the
-sorted-array formulas (``min(len(a), len(b))`` per intersection, the
-candidate count per scan, one per locally decided deferred edge), so
-``rmeef_ops``, trie bytes, fetch/verifyE RPCs and cache evictions, and with
-them the simulated makespan, communication and peak memory, are unchanged.
+list by the other's set and symmetry bounds are ``bisect`` cuts.
+
+Candidate reuse across frontier leaves.  A position's candidate list
+(pivot adjacency intersected with the known refine adjacencies, the
+symmetry cuts, the deferred images and the op charge of all that) depends
+only on the images of the pivot, the refine positions and the bound
+positions, and on which of them are known here.  In rounds >= 1 the
+frontier is walked in trie order, so a *run* of consecutive leaves with
+equal images at those positions (typically siblings, which differ only in
+the last vertex matched) computes the list once, in
+:meth:`RMeefWorker._candidates`, and every leaf of the run reuses it.
+Siblings also share the walk up the parent chain: only the last mapped
+vertex is reset.  Each leaf still pays the list's op charge, walks the
+candidates in the same ascending order against its own ``used`` set, pays
+its own deferred-edge checks and registers its own undetermined edges; a
+leaf whose shared list is empty is charged and removed without expanding.
+
+Why known-ness cannot change within a run: after a round's batch
+`fetchV`, the only fetch is the on-demand pivot re-fetch in
+:meth:`RMeefWorker._candidates`, and all leaves of a run share the pivot,
+so nothing is fetched (or evicted) between a run's first computation and
+the next change of key.  ``verifyE`` flushes and result emission touch the
+trie only, never the cache.
+
+The invariant is that candidate order and every op charge equal the
+per-leaf sorted-array formulas (``min(len(a), len(b))`` per intersection,
+the candidate count per scan, one per locally decided deferred edge, one
+per trie node created or released), and that trie bytes reach the
+simulated machine at the same nodes: the per-node 16 KiB flush test is
+kept (inlined in the hot loops), and the op total at every flush, where a
+simulated OOM can cut a group short, is the per-leaf code's.  So
+``rmeef_ops``, trie bytes, fetch/verifyE RPCs and cache evictions, the ops
+charged when a group OOM-splits, and with them the simulated makespan,
+communication and peak memory, are unchanged.
 
 Region groups are independent units of work: under the serial backend the
 RADS scheduler interleaves workers by virtual clock, while under the
@@ -43,6 +71,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import Machine, SimulatedMemoryError
@@ -91,6 +120,7 @@ class RMeefWorker:
         self._machine: Machine = cluster.machine(executor_id)
         self._local = cluster.partition.machine(executor_id)
         self._cache = cache
+        self._cached = cache.vertices()
         self._order = plan.matching_order()
         self._position = {u: q for q, u in enumerate(self._order)}
         self._prefix_len = [
@@ -103,7 +133,9 @@ class RMeefWorker:
         self._memo: dict[int, tuple[list[int], set[int]]] = {}
         # Mutable per-round state.
         self._ops = 0
-        self._trie_bytes_outstanding = 0
+        # The group trie's live bytes are `_trie_flushed` (charged to the
+        # machine) plus `_trie_delta` (buffered, not yet charged).
+        self._trie_flushed = 0
         self._trie_delta = 0
         self.embeddings_found = 0
         self.last_group_count = 0
@@ -154,10 +186,6 @@ class RMeefWorker:
     # ------------------------------------------------------------------
     # Adjacency access (owned / cached / fetch)
     # ------------------------------------------------------------------
-    def _is_known(self, v: int) -> bool:
-        """True iff ``v``'s adjacency is locally decidable (owned or cached)."""
-        return self._owned[v] or v in self._cache
-
     def _adjacency(self, v: int) -> tuple[list[int], set[int]] | None:
         """``(sorted neighbours, neighbour set)`` if known here, else None.
 
@@ -166,7 +194,7 @@ class RMeefWorker:
         vertex the cache has evicted reads as unknown, as the paper's
         executor would see it.
         """
-        if not self._is_known(v):
+        if not (self._owned[v] or v in self._cached):
             return None
         entry = self._memo.get(v)
         if entry is None:
@@ -176,7 +204,8 @@ class RMeefWorker:
 
     def _fetch_vertices(self, vertices: list[int]) -> None:
         """Batched `fetchV`: one request per remote owner machine."""
-        need = [v for v in vertices if not self._is_known(v)]
+        owned, cache = self._owned, self._cached
+        need = [v for v in vertices if not (owned[v] or v in cache)]
         if not need:
             return
         by_owner: dict[int, list[int]] = defaultdict(list)
@@ -209,20 +238,19 @@ class RMeefWorker:
     #: machine in 16 KiB steps (OOM detection is delayed by at most that).
     _FLUSH_BYTES = 16384
 
-    def _alloc_trie(self, nbytes: int) -> None:
-        # Trie maintenance is real work the SM-E path does not pay:
-        # one op per node created or released.
-        self._ops += nbytes // NODE_BYTES
-        self._trie_bytes_outstanding += nbytes
-        self._trie_delta += nbytes
-        if self._trie_delta >= self._FLUSH_BYTES:
-            self._flush_trie_delta()
+    def _count_nodes(self, nodes: int) -> None:
+        """Account ``nodes`` trie nodes created (> 0) or released (< 0).
 
-    def _free_trie(self, nbytes: int) -> None:
-        self._ops += nbytes // NODE_BYTES
-        self._trie_bytes_outstanding -= nbytes
-        self._trie_delta -= nbytes
-        if self._trie_delta <= -self._FLUSH_BYTES:
+        Trie maintenance is real work the SM-E path does not pay: one op
+        per node created or released.  The hot loops inline this: node
+        creation in :meth:`_expand_unit`, frontier-leaf release in
+        :meth:`_process_group`.
+        """
+        self._ops += abs(nodes)
+        self._trie_delta += nodes * NODE_BYTES
+        # The buffer stays strictly within +-16 KiB between calls, so a
+        # creation can only cross the upper bound and a release the lower.
+        if not -self._FLUSH_BYTES < self._trie_delta < self._FLUSH_BYTES:
             self._flush_trie_delta()
 
     def _flush_trie_delta(self) -> None:
@@ -230,6 +258,7 @@ class RMeefWorker:
             self._machine.allocate(self._trie_delta, "trie_bytes")
         elif self._trie_delta < 0:
             self._machine.free(-self._trie_delta)
+        self._trie_flushed += self._trie_delta
         self._trie_delta = 0
 
     # ------------------------------------------------------------------
@@ -248,12 +277,10 @@ class RMeefWorker:
         try:
             return self._process_group(group, collect)
         except SimulatedMemoryError:
-            # Only `outstanding - delta` has actually been charged to the
-            # machine (the rest sits in the unflushed buffer).
-            self._machine.free(
-                self._trie_bytes_outstanding - self._trie_delta
-            )
-            self._trie_bytes_outstanding = 0
+            # Only the flushed bytes were charged to the machine (the rest
+            # sits in the buffer, or failed to allocate).
+            self._machine.free(self._trie_flushed)
+            self._trie_flushed = 0
             self._trie_delta = 0
             self._machine.charge_ops(self._ops, "rmeef_ops")
             self._ops = 0
@@ -263,7 +290,8 @@ class RMeefWorker:
         self, group: list[int], collect: bool
     ) -> list[tuple[int, ...]]:
         trie = EmbeddingTrie()
-        self._trie_bytes_outstanding = 0
+        self._trie_flushed = 0
+        threshold = self._flush_threshold
         results: list[tuple[int, ...]] = []
         emitted = 0
 
@@ -283,10 +311,11 @@ class RMeefWorker:
                         emb[self._order[q]] = v
                     results.append(tuple(emb))
                 emitted += 1
-                self._free_trie(trie.remove_leaf(leaf) * NODE_BYTES)
+                self._count_nodes(-trie.remove_leaf(leaf))
 
         num_rounds = self._plan.num_rounds
         mapping: list[int] = [-1] * self._pattern.num_vertices
+        owned, cache = self._owned, self._cached
         # Round 0: start candidates (foreign when the group was stolen).
         self._fetch_vertices(list(group))
         final = num_rounds == 1
@@ -294,24 +323,24 @@ class RMeefWorker:
         evi = EdgeVerificationIndex()
         min_degree = self._info[0].min_degree
         for v in sorted(group):
-            if not self._is_known(v):
+            if not (owned[v] or v in cache):
                 # The batch fetch above may have been evicted already on a
                 # memory-starved cache (or the group was stolen): re-fetch
                 # rather than silently dropping the candidate.
                 self._fetch_vertices([v])
             self._ops += 1
-            if not self._is_known(v) or self._degree[v] < min_degree:
+            if not (owned[v] or v in cache) or self._degree[v] < min_degree:
                 continue
             root = trie.add_root(v)
-            self._alloc_trie(NODE_BYTES)
+            self._count_nodes(1)
             mapping[0] = v
-            used = {v}
             self._expand_unit(
-                trie, evi, 0, root, 1, mapping, used, frontier
+                trie, evi, 0, root, 1, mapping, {v}, frontier,
+                *self._candidates(1, mapping),
             )
             if root.child_count == 0:
-                self._free_trie(trie.remove_leaf(root) * NODE_BYTES)
-            if final and self._trie_bytes_outstanding > self._flush_threshold:
+                self._count_nodes(-trie.remove_leaf(root))
+            if final and self._trie_flushed + self._trie_delta > threshold:
                 emit(self._verify_and_filter(trie, evi, frontier))
                 frontier = []
                 evi = EdgeVerificationIndex()
@@ -322,33 +351,64 @@ class RMeefWorker:
         for i in range(1, num_rounds):
             final = i == num_rounds - 1
             evi = EdgeVerificationIndex()
-            pivot_position = self._position[self._plan.units[i].pivot]
             start = self._prefix_len[i - 1]
-            # Frontier leaves sit at depth start - 1; read each pivot image
-            # and each partial embedding straight off the parent chain.
-            pivots = set()
-            for leaf in frontier:
-                node = leaf
-                for _ in range(start - 1 - pivot_position):
-                    node = node.parent
-                pivots.add(node.v)
+            last = start - 1  # frontier depth (>= 1: unit 0 has a leaf)
+            info = self._info[start]
+            # Read each pivot image off the frontier's parent chains, once
+            # per family of siblings unless the pivot is the leaf itself.
+            if info.pivot_position == last:
+                pivots = {leaf.v for leaf in frontier}
+            else:
+                pivots = set()
+                parent = None
+                for leaf in frontier:
+                    if leaf.parent is not parent:
+                        parent = node = leaf.parent
+                        for _ in range(last - 1 - info.pivot_position):
+                            node = node.parent
+                        pivots.add(node.v)
             self._fetch_vertices(sorted(pivots))
+            # Everything position `start`'s candidates depend on.
+            key_of = itemgetter(
+                info.pivot_position, *info.refine_positions,
+                *info.lower_positions, *info.upper_positions,
+            )
+            key = parent = shared = None
+            used: set[int] = set()
             next_frontier: list[TrieNode] = []
+            flush_bytes = self._FLUSH_BYTES
             for leaf in frontier:
-                node, q = leaf, start - 1
-                while node is not None:
-                    mapping[q] = node.v
-                    node, q = node.parent, q - 1
-                used = set(mapping[:start])
-                self._expand_unit(
-                    trie, evi, i, leaf, start, mapping, used, next_frontier
-                )
+                if leaf.parent is not parent:
+                    # Siblings differ only in the last mapped vertex: walk
+                    # the parent chain once per family.
+                    parent = node = leaf.parent
+                    q = last - 1
+                    while node is not None:
+                        mapping[q] = node.v
+                        node, q = node.parent, q - 1
+                    used = set(mapping[:last])
+                mapping[last] = leaf.v
+                leaf_key = key_of(mapping)
+                if leaf_key != key:
+                    key = leaf_key
+                    shared = self._candidates(start, mapping)
+                ops, entries = shared
+                if entries:
+                    used.add(leaf.v)
+                    self._expand_unit(
+                        trie, evi, i, leaf, start, mapping, used,
+                        next_frontier, ops, entries,
+                    )
+                    used.discard(leaf.v)
+                else:
+                    self._ops += ops
                 if leaf.child_count == 0:
-                    self._free_trie(trie.remove_leaf(leaf) * NODE_BYTES)
-                if (
-                    final
-                    and self._trie_bytes_outstanding > self._flush_threshold
-                ):
+                    removed = trie.remove_leaf(leaf)
+                    self._ops += removed
+                    self._trie_delta -= removed * NODE_BYTES
+                    if self._trie_delta <= -flush_bytes:
+                        self._flush_trie_delta()
+                if final and self._trie_flushed + self._trie_delta > threshold:
                     emit(self._verify_and_filter(trie, evi, next_frontier))
                     next_frontier = []
                     evi = EdgeVerificationIndex()
@@ -359,31 +419,26 @@ class RMeefWorker:
         self._ops = 0
         self.embeddings_found += emitted
         self.last_group_count = emitted
-        self._free_trie(trie.memory_bytes())
+        self._count_nodes(-trie.num_nodes)
         self._flush_trie_delta()
         return results
 
     # ------------------------------------------------------------------
-    def _expand_unit(
-        self,
-        trie: EmbeddingTrie,
-        evi: EdgeVerificationIndex,
-        unit_index: int,
-        node: TrieNode,
-        position: int,
-        mapping: list[int],
-        used: set[int],
-        out: list[TrieNode],
-        pending: tuple = (),
-    ) -> None:
-        """Recursive leaf matching for unit ``unit_index`` (Algorithm 2).
+    def _candidates(
+        self, position: int, mapping: list[int]
+    ) -> tuple[int, list[tuple[int, int, tuple | None]]]:
+        """Candidates for matching-order ``position`` under ``mapping``.
 
-        ``pending`` carries the undetermined edges accumulated along the
-        current partial path; they are registered against the completed EC's
-        leaf node.
+        Returns ``(ops, entries)``: the op charge of the intersection and
+        the scan, and one ``(v, checks, edges)`` entry per candidate in
+        ascending order.  ``checks`` is the op charge of testing ``v``'s
+        edges to the deferred images locally; ``edges`` is None if such a
+        test failed, else the undetermined edges to register for ``v``.
+        Candidates whose known degree is too small are dropped (they cost
+        nothing).  Nothing here depends on the partial embedding's
+        ``used`` set, which the caller applies per leaf.
         """
         info = self._info[position]
-        end = self._prefix_len[unit_index]
         pivot_value = mapping[info.pivot_position]
         pivot = self._adjacency(pivot_value)
         if pivot is None:
@@ -395,6 +450,7 @@ class RMeefWorker:
         if pivot is None:  # pragma: no cover - fetch always caches one
             raise AssertionError("pivot adjacency must be known")
         candidates, candidate_set = pivot
+        ops = 0
         # Images of earlier neighbours whose adjacency is unknown here:
         # each candidate's edge to them is checked (or deferred) below.
         deferred: list[int] = []
@@ -405,7 +461,7 @@ class RMeefWorker:
                 deferred.append(w)
                 continue
             other_list, other_set = other
-            self._ops += min(len(candidates), len(other_list))
+            ops += min(len(candidates), len(other_list))
             # Filter whichever side is shorter against the other's set;
             # both lists are ascending, so the result is too.
             if candidate_set is not None and len(other_list) < len(candidates):
@@ -414,55 +470,97 @@ class RMeefWorker:
                 candidates = [x for x in candidates if x in other_set]
             candidate_set = None
             if not candidates:
-                return
+                return ops, []
         if info.lower_positions:
             lo = max([mapping[p] for p in info.lower_positions])
             candidates = candidates[bisect_right(candidates, lo):]
         if info.upper_positions:
             hi = min([mapping[p] for p in info.upper_positions])
             candidates = candidates[:bisect_left(candidates, hi)]
-        self._ops += len(candidates)
-        owned, cache, degree = self._owned, self._cache, self._degree
+        ops += len(candidates)
+        owned, cache, degree = self._owned, self._cached, self._degree
         min_degree = info.min_degree
+        if not deferred:
+            return ops, [
+                (v, 0, ()) for v in candidates
+                if degree[v] >= min_degree or not (owned[v] or v in cache)
+            ]
+        entries: list[tuple[int, int, tuple | None]] = []
         for v in candidates:
-            if v in used:
-                continue
             known = owned[v] or v in cache
             if known and degree[v] < min_degree:
                 continue
-            new_pending = pending
-            if deferred and not known:
-                new_pending = pending + tuple([(v, w) for w in deferred])
-            elif deferred:
-                v_members = self._adjacency(v)[1]
-                ok = True
-                for w in deferred:
-                    self._ops += 1
-                    if w not in v_members:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            child = trie.add_child(node, v)
-            self._alloc_trie(NODE_BYTES)
-            mapping[position] = v
-            used.add(v)
-            if position + 1 == end:
-                for edge in new_pending:
-                    evi.add(edge, child)
-                out.append(child)
+            if not known:
+                entries.append((v, 0, tuple([(v, w) for w in deferred])))
             else:
+                members = self._adjacency(v)[1]
+                checks = 0
+                for w in deferred:
+                    checks += 1
+                    if w not in members:
+                        entries.append((v, checks, None))
+                        break
+                else:
+                    entries.append((v, checks, ()))
+        return ops, entries
+
+    def _expand_unit(
+        self,
+        trie: EmbeddingTrie,
+        evi: EdgeVerificationIndex,
+        unit_index: int,
+        node: TrieNode,
+        position: int,
+        mapping: list[int],
+        used: set[int],
+        out: list[TrieNode],
+        ops: int,
+        entries: list[tuple[int, int, tuple | None]],
+        pending: tuple = (),
+    ) -> None:
+        """Recursive leaf matching for unit ``unit_index`` (Algorithm 2).
+
+        ``ops``/``entries`` are position ``position``'s candidates from
+        :meth:`_candidates`, possibly shared with other frontier leaves;
+        ``used`` holds ``node``'s own partial embedding.  ``pending``
+        carries the undetermined edges accumulated along the current
+        partial path; they are registered against the completed EC's leaf
+        node.  Deeper positions of the unit are computed per child.
+        """
+        self._ops += ops
+        at_end = position + 1 == self._prefix_len[unit_index]
+        flush_bytes = self._FLUSH_BYTES
+        for v, checks, edges in entries:
+            if v in used:
+                continue
+            if edges is None:
+                self._ops += checks
+                continue
+            child = trie.add_child(node, v)
+            self._ops += checks + 1
+            self._trie_delta += NODE_BYTES
+            if self._trie_delta >= flush_bytes:
+                self._flush_trie_delta()
+            if at_end:
+                if pending or edges:
+                    for edge in pending + edges:
+                        evi.add(edge, child)
+                out.append(child)
+                continue
+            mapping[position] = v
+            deeper_ops, deeper = self._candidates(position + 1, mapping)
+            if deeper:
+                used.add(v)
                 self._expand_unit(
-                    trie, evi, unit_index, child, position + 1,
-                    mapping, used, out, new_pending,
+                    trie, evi, unit_index, child, position + 1, mapping,
+                    used, out, deeper_ops, deeper, pending + edges,
                 )
-                if child.child_count == 0:
-                    # Non-cascading: `node` is still being extended.
-                    self._free_trie(
-                        trie.detach_childless(child) * NODE_BYTES
-                    )
-            used.discard(v)
-            mapping[position] = -1
+                used.discard(v)
+            else:
+                self._ops += deeper_ops
+            if child.child_count == 0:
+                # Non-cascading: `node` is still being extended.
+                self._count_nodes(-trie.detach_childless(child))
 
     # ------------------------------------------------------------------
     def _verify_and_filter(
@@ -492,7 +590,7 @@ class RMeefWorker:
         dead = evi.failed_leaves(failed)
         dead_ids = {id(n) for n in dead}
         for leaf in dead:
-            self._free_trie(trie.remove_leaf(leaf) * NODE_BYTES)
+            self._count_nodes(-trie.remove_leaf(leaf))
         if not dead_ids:
             return frontier
         return [n for n in frontier if id(n) not in dead_ids]

@@ -1,9 +1,9 @@
 """Model-based test: ForeignVertexCache against a reference model.
 
-A hypothesis state machine drives the cache with arbitrary put/get/clear
+A hypothesis state machine drives the cache with arbitrary put/clear
 sequences and checks every observable (membership, byte accounting,
-hit/miss counters, eviction order) against a straightforward Python model
-for both eviction policies.
+eviction count, FIFO eviction order) against a straightforward Python
+model.
 """
 
 import numpy as np
@@ -26,40 +26,31 @@ def entry_cost(degree: int) -> int:
 
 
 class CacheModel(RuleBasedStateMachine):
-    @initialize(policy=st.sampled_from(["fifo", "lru"]))
-    def setup(self, policy):
-        self.policy = policy
-        self.cache = ForeignVertexCache(budget_bytes=BUDGET, policy=policy)
+    @initialize()
+    def setup(self):
+        self.cache = ForeignVertexCache(budget_bytes=BUDGET)
         self.model: dict[int, int] = {}  # vertex -> degree, in order
-        self.hits = 0
-        self.misses = 0
+        self.evictions = 0
 
     # ------------------------------------------------------------------
     @rule(v=st.integers(0, 14), degree=st.integers(0, 8))
     def put(self, v, degree):
         adjacency = np.arange(degree, dtype=np.int64)
-        self.cache.put(v, adjacency)
+        evicted = self.cache.put(v, adjacency)
         if v in self.model:
-            return  # duplicate put is a no-op
+            assert evicted == 0  # duplicate put is a no-op
+            return
         cost = entry_cost(degree)
         used = sum(entry_cost(d) for d in self.model.values())
+        released = 0
         while self.model and used + cost > BUDGET:
             oldest = next(iter(self.model))
-            used -= entry_cost(self.model.pop(oldest))
+            freed = entry_cost(self.model.pop(oldest))
+            used -= freed
+            released += freed
+            self.evictions += 1
+        assert evicted == released
         self.model[v] = degree
-
-    @rule(v=st.integers(0, 14))
-    def get(self, v):
-        got = self.cache.get(v)
-        if v in self.model:
-            self.hits += 1
-            assert got is not None
-            assert len(got) == self.model[v]
-            if self.policy == "lru":
-                self.model[v] = self.model.pop(v)  # move to end
-        else:
-            self.misses += 1
-            assert got is None
 
     @rule()
     def clear(self):
@@ -86,11 +77,10 @@ class CacheModel(RuleBasedStateMachine):
         assert self.cache.bytes_used <= BUDGET or len(self.model) == 1
 
     @invariant()
-    def counters_match(self):
+    def evictions_match(self):
         if not hasattr(self, "model"):
             return
-        assert self.cache.hits == self.hits
-        assert self.cache.misses == self.misses
+        assert self.cache.evictions == self.evictions
 
 
 TestCacheModel = CacheModel.TestCase

@@ -11,8 +11,10 @@ against values recorded in ``golden_accounting.json``.
 Cases: RADS (serial backend) and Single on q1-q8 over
 ``roadnet_like(0.2)`` and ``livejournal_like(0.05)``; one Crystal run
 that takes the general (backtracking) core path; one streaming
-:class:`IncrementalMatcher` delta; and one memory-starved RADS run in
-which the foreign-vertex cache evicts and a region group OOM-splits.
+:class:`IncrementalMatcher` delta; one memory-starved RADS run in which
+the foreign-vertex cache evicts and a region group OOM-splits; and one
+cache-starved RADS q6 run in which evicted pivots are fetched again in
+the middle of rounds >= 1, where frontier leaves share candidate lists.
 
 Re-record (only when a change is *meant* to move simulated figures, and
 say so in the change description)::
@@ -54,6 +56,13 @@ MACHINES = 4
 #: asserts both happen, so the case cannot silently go slack).
 STARVED = {"graph": "lj", "machines": 8, "memory_capacity": 64 * 1024,
            "cache_budget_fraction": 0.05, "query": "q3"}
+
+#: Cache-starved RADS q6: a 0.5% cache share makes pivots that the
+#: round-start batch fetched get evicted before their frontier leaves are
+#: expanded, so R-Meef re-fetches them on demand inside rounds >= 1 (the
+#: test asserts this happens).
+STARVED_Q6 = {"graph": "lj", "machines": 4, "memory_capacity": 512 * 1024,
+              "cache_budget_fraction": 0.005, "query": "q6"}
 
 
 @lru_cache(maxsize=None)
@@ -119,6 +128,18 @@ def _delta_case() -> dict:
     }
 
 
+def _starved_run(cfg: dict) -> dict:
+    result = RADSEngine(
+        cache_budget_fraction=cfg["cache_budget_fraction"]
+    ).run(
+        _cluster(cfg["graph"], cfg["machines"],
+                 cfg["memory_capacity"]).fresh_copy(),
+        named_patterns()[cfg["query"]],
+        collect_embeddings=False,
+    )
+    return _record(result)
+
+
 def _starved_case() -> dict:
     """Starved RADS run, plus how often the cache evicted and groups split."""
     seen = {"evicting_puts": 0, "oom_splits": 0}
@@ -139,19 +160,44 @@ def _starved_case() -> dict:
     ForeignVertexCache.put = counting_put
     RMeefWorker.process_group = counting_process_group
     try:
-        cfg = STARVED
-        result = RADSEngine(
-            cache_budget_fraction=cfg["cache_budget_fraction"]
-        ).run(
-            _cluster(cfg["graph"], cfg["machines"],
-                     cfg["memory_capacity"]).fresh_copy(),
-            named_patterns()[cfg["query"]],
-            collect_embeddings=False,
-        )
+        record = _starved_run(STARVED)
     finally:
         ForeignVertexCache.put = put
         RMeefWorker.process_group = process_group
-    return {**_record(result), **seen}
+    return {**record, **seen}
+
+
+def _starved_q6_case() -> dict:
+    """Cache-starved RADS q6, plus its on-demand pivot re-fetches.
+
+    A re-fetch is a `fetchV` issued from below the group loop: the
+    round-start batches and round 0's start-candidate fetches are the only
+    ones ``_process_group`` issues itself.
+    """
+    seen = {"round_refetches": 0}
+    refetching = [False]
+    fetch, put = RMeefWorker._fetch_vertices, ForeignVertexCache.put
+
+    def counting_fetch(self, vertices):
+        caller = sys._getframe(1).f_code.co_name
+        refetching[0] = caller != "_process_group"
+        try:
+            return fetch(self, vertices)
+        finally:
+            refetching[0] = False
+
+    def counting_put(self, v, adjacency):
+        seen["round_refetches"] += refetching[0]
+        return put(self, v, adjacency)
+
+    RMeefWorker._fetch_vertices = counting_fetch
+    ForeignVertexCache.put = counting_put
+    try:
+        record = _starved_run(STARVED_Q6)
+    finally:
+        RMeefWorker._fetch_vertices = fetch
+        ForeignVertexCache.put = put
+    return {**record, **seen}
 
 
 def _cases() -> dict:
@@ -168,6 +214,7 @@ def _cases() -> dict:
     cases["crystal-lj-q4"] = _crystal_case
     cases["delta-road-q4"] = _delta_case
     cases["rads-starved-lj-q3"] = _starved_case
+    cases["rads-starved-lj-q6"] = _starved_q6_case
     return cases
 
 
@@ -194,6 +241,12 @@ def test_starved_case_evicts_and_splits(golden):
     assert not starved["failed"]
     assert starved["evicting_puts"] > 0
     assert starved["oom_splits"] > 0
+
+
+def test_starved_q6_case_refetches_in_later_rounds(golden):
+    starved = golden["rads-starved-lj-q6"]
+    assert not starved["failed"]
+    assert starved["round_refetches"] > 0
 
 
 if __name__ == "__main__":
